@@ -19,7 +19,7 @@
 // faults (torn writes, bit rot, ENOSPC, crash points) against the
 // durable run ledger, with the detect → scrub → re-derive pipeline
 // checked per scenario. With -artifacts set, any violating campaign
-// leaves its postmortem.txt and event timeline — or, for the store
+// leaves its post-mortem and event timeline — or, for the store
 // arm, its verify and scrub reports — in that directory for CI to
 // upload.
 //

@@ -8,7 +8,7 @@
 //	yycore -nr 25 -nt 25 -steps 200 -every 20
 //	yycore -nr 17 -nt 17 -steps 100 -procs 8       # goroutine-parallel
 //	yycore -nr 25 -nt 25 -steps 300 -slice out.ppm # equatorial T slice
-//	yycore -nr 9 -nt 13 -steps 10 -store run.store # campaign on the durable run ledger
+//	yycore -nr 9 -nt 13 -steps 10 -campaign run1   # checkpointed campaign on the run ledger
 package main
 
 import (
@@ -53,8 +53,7 @@ func main() {
 		seedB   = flag.Float64("seedb", mhd.DefaultIC().SeedBAmp, "magnetic seed amplitude")
 		perturb = flag.Float64("perturb", mhd.DefaultIC().PerturbAmp, "temperature perturbation amplitude")
 
-		campaign  = flag.String("campaign", "", "run a fault-tolerant checkpointed campaign in this directory (resumes if checkpoints exist)")
-		storeDir  = flag.String("store", "", "campaign: commit checkpoints to the content-addressed run-ledger store at this directory instead of loose files (audit with yystore)")
+		campaign  = flag.String("campaign", "", "run a fault-tolerant checkpointed campaign on the run-ledger store in this directory (resumes if checkpoints exist; audit with yystore)")
 		runID     = flag.String("runid", "", "campaign: run name inside the store's ref namespace (default campaign)")
 		ckptEvery = flag.Int("ckpt-every", 50, "campaign: steps between checkpoints")
 		retries   = flag.Int("retries", 3, "campaign: retry budget per segment")
@@ -121,23 +120,20 @@ func main() {
 		}()
 	}
 
-	if *campaign != "" || *storeDir != "" {
+	if *campaign != "" {
 		np := *procs
 		if np == 0 {
 			np = 2
 		}
-		where := *campaign
-		if where == "" {
-			where = "store " + *storeDir
-		}
 		fmt.Printf("campaign: %d steps on %d ranks, checkpoint every %d steps in %s\n",
-			*steps, np, *ckptEvery, where)
+			*steps, np, *ckptEvery, *campaign)
 		rcfg := resilience.Config{
 			Core:            cfg,
 			NProcs:          np,
 			Steps:           *steps,
 			CheckpointEvery: *ckptEvery,
 			Dir:             *campaign,
+			RunID:           *runID,
 			MaxRetries:      *retries,
 			Backoff:         *backoff,
 			Deadline:        *deadline,
@@ -152,18 +148,6 @@ func main() {
 			}
 			rcfg.Faults = mpi.NewFaultPlan().KillSilent(rank, step)
 			fmt.Printf("fault injection: silent death of rank %d at step %d\n", rank, step)
-		}
-		if *storeDir != "" {
-			backend, err := store.NewDirBackend(*storeDir)
-			if err != nil {
-				fail(err)
-			}
-			st, err := store.Open(backend)
-			if err != nil {
-				fail(err)
-			}
-			rcfg.Store = st
-			rcfg.RunID = *runID
 		}
 		if *hbEvery > 0 {
 			rcfg.Heartbeat = &mpi.Heartbeat{Interval: *hbEvery}
@@ -190,7 +174,17 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("campaign complete at step %d\n", res.FinalStep)
-		writeObs(*trace, *runreport, rec, events, perf0, plane, rcfg.Store, rcfg.RunID, res.FinalStep)
+		// Reopen the campaign's store to pin the trace and report next
+		// to its checkpoints.
+		backend, err := store.NewDirBackend(*campaign)
+		if err != nil {
+			fail(err)
+		}
+		st, err := store.Open(backend)
+		if err != nil {
+			fail(err)
+		}
+		writeObs(*trace, *runreport, rec, events, perf0, plane, st, *runID, res.FinalStep)
 		return
 	}
 

@@ -1,7 +1,7 @@
 // Command yystore audits and maintains a durable run-ledger store: the
-// content-addressed artifact directory campaigns write through
-// resilience.Config.Store (yycore -store) and the chaos storage arm
-// exercises under injected filesystem faults.
+// content-addressed artifact directory every campaign writes through
+// resilience.Config.Dir/Store (yycore -campaign) and the chaos storage
+// arm exercises under injected filesystem faults.
 //
 // Usage:
 //

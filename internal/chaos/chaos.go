@@ -50,7 +50,7 @@ type Config struct {
 	// MaxFaults bounds the message faults per scenario (default 6).
 	MaxFaults int
 	// ArtifactDir, when set, collects diagnostics for every violating
-	// scenario: the failed campaign's postmortem.txt and the run's event
+	// scenario: the failed campaign's post-mortem and the run's event
 	// timeline, named after the scenario — what a CI job uploads when a
 	// chaos stage goes red. Empty disables collection.
 	ArtifactDir string

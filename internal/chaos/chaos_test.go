@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/store"
 )
 
 // TestGenScenarioDeterministic: scenario generation is a pure function
@@ -136,7 +137,19 @@ func TestGenScenarioReplaceArm(t *testing.T) {
 func TestArtifactCollection(t *testing.T) {
 	dir := t.TempDir()
 	campaignDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(campaignDir, "postmortem.txt"), []byte("campaign post-mortem\n"), 0o644); err != nil {
+	b, err := store.NewDirBackend(campaignDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := st.Put([]byte("campaign post-mortem\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetRef("runs/campaign/postmortem", h); err != nil {
 		t.Fatal(err)
 	}
 	r := NewRunner(Config{ArtifactDir: dir})

@@ -192,6 +192,7 @@ func (r *Runner) executeCampaign(sc Scenario, plan *mpi.FaultPlan) Outcome {
 		Steps:           r.cfg.Steps,
 		CheckpointEvery: every,
 		Dir:             dir,
+		RunID:           campaignRun,
 		Deadline:        r.cfg.Deadline,
 		Faults:          plan,
 		Reliability:     &mpi.Reliability{AckTimeout: r.cfg.AckTimeout},
@@ -249,10 +250,10 @@ func timelineOf(events []mpi.Event) string {
 }
 
 // saveArtifacts collects a violating scenario's diagnostics under
-// cfg.ArtifactDir: the campaign's postmortem.txt (if campaignDir holds
-// one) and the event timeline, both prefixed with the scenario's name
-// (or seed). Best effort — artifact trouble must never mask the
-// verdict.
+// cfg.ArtifactDir: the campaign's post-mortem (if the store in
+// campaignDir pins one) and the event timeline, both prefixed with the
+// scenario's name (or seed). Best effort — artifact trouble must never
+// mask the verdict.
 func (r *Runner) saveArtifacts(sc Scenario, campaignDir string, events []mpi.Event) {
 	if r.cfg.ArtifactDir == "" {
 		return
@@ -265,7 +266,7 @@ func (r *Runner) saveArtifacts(sc Scenario, campaignDir string, events []mpi.Eve
 		base = fmt.Sprintf("seed-%d", sc.Seed)
 	}
 	if campaignDir != "" {
-		if pm, err := os.ReadFile(filepath.Join(campaignDir, "postmortem.txt")); err == nil {
+		if pm, err := campaignPostmortem(campaignDir); err == nil {
 			_ = store.WriteFileAtomic(filepath.Join(r.cfg.ArtifactDir, base+"-postmortem.txt"), pm, 0o644)
 		}
 	}
@@ -275,6 +276,28 @@ func (r *Runner) saveArtifacts(sc Scenario, campaignDir string, events []mpi.Eve
 		b.WriteByte('\n')
 	}
 	_ = store.WriteFileAtomic(filepath.Join(r.cfg.ArtifactDir, base+"-timeline.txt"), []byte(b.String()), 0o644)
+}
+
+// campaignRun is the run id of the message arm's campaigns inside
+// their store.
+const campaignRun = "campaign"
+
+// campaignPostmortem reads the post-mortem a failed campaign pinned
+// into the store at campaignDir.
+func campaignPostmortem(campaignDir string) ([]byte, error) {
+	b, err := store.NewDirBackend(campaignDir)
+	if err != nil {
+		return nil, err
+	}
+	st, err := store.Open(b)
+	if err != nil {
+		return nil, err
+	}
+	h, err := st.Ref("runs/" + campaignRun + "/postmortem")
+	if err != nil {
+		return nil, err
+	}
+	return st.Get(h)
 }
 
 // dtSchedule fixes every segment's time step to the configured DT so

@@ -1,186 +1,42 @@
 package resilience
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 
-	"repro/internal/grid"
-	"repro/internal/mhd"
 	"repro/internal/mpi"
-	"repro/internal/snapshot"
 )
 
-const (
-	ckptPrefix     = "ckpt-"
-	ckptSuffix     = ".yyck"
-	postmortemName = "postmortem.txt"
-)
-
-// ckptName is the on-disk name of the checkpoint committed at step.
-func ckptName(step int) string {
-	return fmt.Sprintf("%s%09d%s", ckptPrefix, step, ckptSuffix)
-}
-
-// ckptStep parses the step out of a checkpoint file name.
-func ckptStep(name string) (int, bool) {
-	if !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
-		return 0, false
-	}
-	digits := strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix)
-	step, err := strconv.Atoi(digits)
-	if err != nil || step < 0 {
-		return 0, false
-	}
-	return step, true
-}
-
-// listCheckpoints returns the campaign directory's checkpoint steps in
-// ascending order.
-func listCheckpoints(dir string) ([]int, error) {
+// checkLegacyDir refuses a campaign directory written by the retired
+// loose-file layout (ckpt-%09d.yyck files at its root): the store
+// opened there would find no checkpoint refs and silently restart the
+// campaign at step 0. A missing directory is a fresh campaign.
+func checkLegacyDir(dir string) error {
 	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-	var steps []int
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if step, ok := ckptStep(e.Name()); ok {
-			steps = append(steps, step)
-		}
-	}
-	sort.Ints(steps)
-	return steps, nil
-}
-
-// ckptSyncHook, when non-nil, observes the durability sequence of
-// writeCheckpointFile — ("sync-file", tmp), ("rename", final),
-// ("sync-dir", dir) in order. Test seam only.
-var ckptSyncHook func(op, path string)
-
-func noteSync(op, path string) {
-	if ckptSyncHook != nil {
-		ckptSyncHook(op, path)
-	}
-}
-
-// writeCheckpointFile atomically and durably persists the state: the
-// checkpoint is streamed to a temporary file in the same directory,
-// fsynced, renamed into place, and the directory itself is fsynced.
-// The rename keeps a crash mid-write from leaving a half-written file
-// under a checkpoint name; the two fsyncs keep a host crash right after
-// the rename from leaving a zero-length (data never flushed) or
-// unlinked (directory entry never flushed) "newest" checkpoint.
-func writeCheckpointFile(dir string, sv *mhd.Solver) (string, error) {
-	final := filepath.Join(dir, ckptName(sv.Step))
-	tmp, err := os.CreateTemp(dir, ckptName(sv.Step)+".tmp-*")
-	if err != nil {
-		return "", fmt.Errorf("resilience: creating checkpoint temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op once the rename has happened
-	if err := snapshot.WriteCheckpoint(tmp, sv); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("resilience: writing checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("resilience: syncing checkpoint: %w", err)
-	}
-	noteSync("sync-file", tmp.Name())
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("resilience: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return "", fmt.Errorf("resilience: committing checkpoint: %w", err)
-	}
-	noteSync("rename", final)
-	if err := syncDir(dir); err != nil {
-		return "", err
-	}
-	noteSync("sync-dir", dir)
-	return final, nil
-}
-
-// syncDir flushes a directory's entries so a committed rename survives
-// a host crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("resilience: opening checkpoint dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("resilience: syncing checkpoint dir: %w", err)
-	}
-	return nil
-}
-
-// loadNewest restores the newest checkpoint in dir that reads back
-// valid. Corrupt or truncated files are skipped (collected in skipped)
-// and the scan falls back to the next-newest — a half-written or
-// bit-rotted newest checkpoint must not strand a resumable campaign. A
-// checkpoint that reads back fine but holds a different grid resolution
-// is a hard error, not a skip: the campaign was pointed at the wrong
-// directory (or reconfigured), and silently resuming an older
-// same-resolution file would fork the trajectory. Returns
-// (nil, skipped, nil) when no valid checkpoint exists.
-func loadNewest(dir string, spec grid.Spec) (*mhd.Solver, []string, error) {
-	steps, err := listCheckpoints(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	var skipped []string
-	for i := len(steps) - 1; i >= 0; i-- {
-		name := ckptName(steps[i])
-		sv, err := readCheckpointFile(filepath.Join(dir, name))
-		if err != nil {
-			skipped = append(skipped, fmt.Sprintf("%s: %v", name, err))
-			continue
-		}
-		if sv.Spec != spec {
-			return nil, skipped, fmt.Errorf("resilience: checkpoint %s holds grid %dx%dx%d, campaign wants %dx%dx%d — wrong directory or reconfigured resolution",
-				name, sv.Spec.Nr, sv.Spec.Nt, sv.Spec.Np, spec.Nr, spec.Nt, spec.Np)
-		}
-		return sv, skipped, nil
-	}
-	return nil, skipped, nil
-}
-
-func readCheckpointFile(path string) (*mhd.Solver, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return snapshot.ReadCheckpoint(f)
-}
-
-// prune deletes all but the newest keep checkpoints.
-func prune(dir string, keep int) error {
-	steps, err := listCheckpoints(dir)
 	if err != nil {
 		return err
 	}
-	for len(steps) > keep {
-		if err := os.Remove(filepath.Join(dir, ckptName(steps[0]))); err != nil {
-			return err
+	for _, e := range entries {
+		if ok, _ := filepath.Match("ckpt-*.yyck", e.Name()); ok && !e.IsDir() {
+			return fmt.Errorf("resilience: %s is a legacy loose-file checkpoint: that campaign directory layout is no longer read; resume from a new directory",
+				filepath.Join(dir, e.Name()))
 		}
-		steps = steps[1:]
 	}
 	return nil
 }
 
 // postmortemText renders a human-readable account of an exhausted
-// segment — the sink persists it (atomically beside the checkpoints,
-// or as a ledger-pinned store blob). The account ends with the
-// campaign's fault/heartbeat event timeline — what dropped, who was
-// suspected or confirmed dead, and when — so a failed campaign is
-// diagnosable from this one artifact.
+// segment — the sink persists it as a ledger-pinned store blob. The
+// account ends with the campaign's fault/heartbeat event timeline —
+// what dropped, who was suspected or confirmed dead, and when — so a
+// failed campaign is diagnosable from this one artifact.
 func postmortemText(segStart, attempts int, cause error, res *Result, events *mpi.EventLog) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "campaign post-mortem\n")

@@ -3,8 +3,6 @@ package resilience
 import (
 	"bytes"
 	"crypto/sha256"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -164,21 +162,15 @@ func TestCampaignReplaceCorruptFallsBack(t *testing.T) {
 	cfg.Replace = &mpi.Elastic{}
 	corrupted := false
 	cfg.Perturb = func(seg, attempt int, sv *mhd.Solver) {
-		// Rot the segment's own checkpoint on disk just before the
-		// faulted segment runs: the replacement fence will try to
-		// restore it and fail its checksum.
+		// Rot the segment's own checkpoint in the store just before
+		// the faulted segment runs: the replacement fence will try to
+		// restore it and fail its content hash.
 		if seg == 1 && !corrupted {
 			corrupted = true
-			path := filepath.Join(cfg.Dir, ckptName(2))
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			raw[len(raw)/2] ^= 0x40
-			if err := os.WriteFile(path, raw, 0o644); err != nil {
-				t.Error(err)
-			}
+			damageCkpt(t, cfg.Dir, 2, func(raw []byte) []byte {
+				raw[len(raw)/2] ^= 0x40
+				return raw
+			})
 		}
 	}
 	res, err := RunCampaign(cfg)

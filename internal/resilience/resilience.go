@@ -4,19 +4,20 @@
 // ranks, advances a fixed number of steps, gathers the result on rank 0
 // and validates it. A segment that blows up (non-finite state or CFL
 // collapse) or dies in the runtime (rank kill, communication deadline)
-// is rolled back to the last checkpoint on disk and retried — with
+// is rolled back to the last committed checkpoint and retried — with
 // exponentially backed-off time step when the solver itself failed —
 // until it commits or the retry budget is exhausted, at which point a
 // post-mortem is saved next to the checkpoints and the campaign aborts
 // gracefully. A campaign interrupted between checkpoints (crashed
 // process, killed job) resumes from the newest checkpoint that still
-// reads back valid, falling back past corrupt files.
+// reads back valid, falling back past corrupt ones. Every checkpoint,
+// post-mortem and profile goes through one persistence path: the run
+// ledger of internal/store.
 package resilience
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -52,19 +53,22 @@ type Config struct {
 	// CheckpointEvery is the segment length in steps; a checkpoint is
 	// committed at every multiple (default: Steps, one segment).
 	CheckpointEvery int
-	// Dir is the campaign directory holding checkpoints and, on
-	// failure, the post-mortem. Required unless Store is set; created
-	// if missing.
+	// Dir is the campaign directory: RunCampaign opens (creating if
+	// missing) a filesystem store rooted there, exactly as if Store
+	// were set to it. Required unless Store is set; ignored when it
+	// is. A directory holding checkpoints of the retired loose-file
+	// layout (ckpt-*.yyck) is rejected rather than restarted.
 	Dir string
-	// Store, when non-nil, replaces the loose-file directory with the
-	// content-addressed artifact store: checkpoints dedup by sha256
-	// (bit-identical reruns share one blob), every segment commit
-	// appends a Merkle-chained ledger manifest recording the artifact
-	// hashes, the recovery decisions taken, and an event-log digest,
-	// and `yystore verify` can audit the whole campaign offline.
+	// Store is the campaign's content-addressed artifact store:
+	// checkpoints dedup by sha256 (bit-identical reruns share one
+	// blob), every segment commit appends a Merkle-chained ledger
+	// manifest recording the artifact hashes, the recovery decisions
+	// taken, and an event-log digest, and `yystore verify` can audit
+	// the whole campaign offline. Nil selects the store at Dir.
 	Store *store.Store
 	// RunID names this campaign inside the store's ref namespace
-	// (refs/runs/<RunID>/...); default "campaign". Store mode only.
+	// (refs/runs/<RunID>/...) and on the telemetry plane; default
+	// "campaign".
 	RunID string
 	// MaxRetries bounds the retries per segment after the first attempt
 	// (default 3).
@@ -74,7 +78,11 @@ type Config struct {
 	// MinDT declares CFL collapse: a committed-candidate state whose
 	// stable time step falls below it counts as a blow-up (0 disables).
 	MinDT float64
-	// Keep is how many checkpoints to retain on disk (default 2).
+	// Keep is how many checkpoint refs (resume and rollback
+	// candidates) to retain (default 2). It prunes refs, not bytes:
+	// every committed checkpoint blob stays pinned by its ledger entry
+	// (deduplicated by content), and gc keeps it for as long as the
+	// ledger holds that entry.
 	Keep int
 	// Deadline bounds every blocking runtime call inside a segment; on
 	// expiry the segment fails with the runtime's diagnostic dump of
@@ -151,21 +159,14 @@ func (c Config) withDefaults() Config {
 	if c.Keep == 0 {
 		c.Keep = 2
 	}
+	if c.RunID == "" {
+		c.RunID = defaultRunID
+	}
 	return c
 }
 
-// runName labels the campaign for telemetry and artifact commits: the
-// store run id when the ledger substrate is in use, the checkpoint
-// directory otherwise.
-func (c Config) runName() string {
-	if c.Store != nil {
-		if c.RunID != "" {
-			return c.RunID
-		}
-		return "campaign"
-	}
-	return c.Dir
-}
+// defaultRunID is the ref namespace of a campaign that names none.
+const defaultRunID = "campaign"
 
 // RecoveryMode names one of the campaign's recovery paths, most to
 // least surgical.
@@ -244,12 +245,10 @@ func RunCampaign(cfg Config) (*Result, error) {
 	if cfg.Dir == "" && cfg.Store == nil {
 		return nil, fmt.Errorf("resilience: campaign needs a directory or a store for checkpoints")
 	}
-	if cfg.Store == nil {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, err
-		}
+	sink, err := cfg.sink()
+	if err != nil {
+		return nil, err
 	}
-	sink := cfg.sink()
 	spec := cfg.Core.Spec()
 	// NProcs 1 is the serial path: no layout, no runtime — segments
 	// advance a clone of the committed state directly.
@@ -278,12 +277,12 @@ func RunCampaign(cfg Config) (*Result, error) {
 	}
 	plane := cfg.Telemetry
 	plane.Attach(telemetry.Campaign{
-		Run:        cfg.runName(),
+		Run:        cfg.RunID,
 		TotalSteps: cfg.Steps,
 		MinDT:      cfg.MinDT,
 		Events:     events,
 		Recorder:   cfg.Obs,
-		Store:      cfg.Store,
+		Store:      sink.st,
 	})
 	// The campaign driver records on its own pseudo-rank track:
 	// checkpoint I/O and validation between segments.
@@ -315,7 +314,7 @@ func RunCampaign(cfg Config) (*Result, error) {
 	}
 	defer func() { res.Events = events.Events() }()
 	// A crash between a past commit's temp write and its rename strands
-	// a *.tmp file that nothing would ever reclaim; sweep such orphans
+	// a temp file that nothing would ever reclaim; sweep such orphans
 	// before touching the checkpoints.
 	if swept, err := sink.sweep(); err != nil {
 		return nil, fmt.Errorf("resilience: sweeping orphan temp files: %w", err)

@@ -39,10 +39,7 @@ func TestCampaignCleanRun(t *testing.T) {
 		t.Errorf("clean run: FinalStep=%d Diags=%d DTs=%d Retries=%d",
 			res.FinalStep, len(res.Diags), len(res.DTs), res.Retries)
 	}
-	steps, err := listCheckpoints(cfg.Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	steps := ckptSteps(t, cfg.Dir)
 	// Keep defaults to 2: the newest two of {0, 2, 4, 6} survive.
 	if len(steps) != 2 || steps[0] != 4 || steps[1] != 6 {
 		t.Errorf("kept checkpoints %v, want [4 6]", steps)
@@ -98,7 +95,8 @@ func TestRollbackBackoffBitIdentical(t *testing.T) {
 
 // TestResumeFromDisk is acceptance criterion (c): a campaign
 // interrupted between checkpoints resumes from the newest checkpoint
-// on disk and completes, matching an uninterrupted campaign.
+// in its directory's ledger and completes, matching an uninterrupted
+// campaign.
 func TestResumeFromDisk(t *testing.T) {
 	interrupted := testConfig(t, 4, 2)
 	first, err := RunCampaign(interrupted)
@@ -148,14 +146,7 @@ func TestResumeFallsBackPastInvalidNewest(t *testing.T) {
 	}
 	// Truncate the newest checkpoint (step 4) to simulate a crash
 	// mid-write that somehow landed under the final name.
-	newest := filepath.Join(cfg.Dir, ckptName(4))
-	raw, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newest, raw[:len(raw)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	damageCkpt(t, cfg.Dir, 4, func(raw []byte) []byte { return raw[:len(raw)/3] })
 	cfg.Steps = 6
 	res, err := RunCampaign(cfg)
 	if err != nil {
@@ -218,7 +209,7 @@ func TestDroppedMessageRetries(t *testing.T) {
 
 // TestPostmortemOnExhaustedRetries: a segment that blows up on every
 // attempt exhausts the retry budget; the campaign aborts gracefully
-// with a post-mortem saved next to the checkpoints.
+// with a post-mortem pinned into the ledger next to the checkpoints.
 func TestPostmortemOnExhaustedRetries(t *testing.T) {
 	cfg := testConfig(t, 4, 2)
 	cfg.MaxRetries = 2
@@ -240,13 +231,10 @@ func TestPostmortemOnExhaustedRetries(t *testing.T) {
 	if res.Retries != 2 {
 		t.Errorf("Retries = %d, want 2", res.Retries)
 	}
-	pm, rerr := os.ReadFile(filepath.Join(cfg.Dir, postmortemName))
-	if rerr != nil {
-		t.Fatalf("post-mortem not written: %v", rerr)
-	}
+	pm := postmortemIn(t, cfg.Dir)
 	for _, want := range []string{"failed segment start step: 2", "attempts: 3", "blow-up", "committed segments: 1",
 		"recovery decisions (2):", "segment 1 attempt 1: rollback", "segment 1 attempt 2: rollback"} {
-		if !strings.Contains(string(pm), want) {
+		if !strings.Contains(pm, want) {
 			t.Errorf("post-mortem missing %q:\n%s", want, pm)
 		}
 	}
@@ -260,5 +248,28 @@ func TestCampaignValidatesConfig(t *testing.T) {
 	}
 	if _, err := RunCampaign(Config{Dir: t.TempDir()}); err == nil {
 		t.Error("campaign without steps did not fail")
+	}
+}
+
+// TestCampaignRejectsLegacyDir: a directory holding a checkpoint of the
+// retired loose-file layout is refused with an error naming the file,
+// instead of silently restarting the campaign at step 0.
+func TestCampaignRejectsLegacyDir(t *testing.T) {
+	cfg := testConfig(t, 2, 2)
+	legacy := filepath.Join(cfg.Dir, "ckpt-000000004.yyck")
+	if err := os.WriteFile(legacy, []byte("loose checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := RunCampaign(cfg)
+	if err == nil {
+		t.Fatal("campaign over a legacy loose-file directory did not fail")
+	}
+	for _, want := range []string{legacy, "no longer read"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error missing %q: %v", want, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(cfg.Dir, "ledger")); err == nil {
+		t.Error("refused campaign still committed a ledger into the legacy directory")
 	}
 }

@@ -1,26 +1,22 @@
 package resilience
 
-// The checkpoint sink abstracts where a campaign's durable artifacts
-// live: a plain run directory (the original substrate, dirSink) or a
+// The checkpoint sink is a campaign's one persistence path: a
 // content-addressed store with a Merkle-chained ledger
-// (internal/store, storeSink). The campaign loop speaks only to this
-// interface, so recovery semantics — the newest-valid fallback ladder,
-// rollback, rewind, rank-replacement reload — are identical over both;
-// the store additionally dedups bit-identical checkpoints and appends
-// one ledger manifest per commit so every recovery decision is
-// verifiable offline.
+// (internal/store). Checkpoints are blobs keyed by their sha256, so
+// bit-identical reruns share one object; mutable refs
+// runs/<run>/ckpt-%09d name the resume candidates; and every commit
+// appends a ledger manifest recording the artifact hashes, the recovery
+// decisions taken and an event-log digest, so a campaign's whole
+// recovery history is verifiable offline with `yystore verify`.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"repro/internal/grid"
 	"repro/internal/mhd"
@@ -29,8 +25,7 @@ import (
 	"repro/internal/store"
 )
 
-// segMeta is the provenance a commit carries into the ledger (ignored
-// by the plain directory sink).
+// segMeta is the provenance a commit carries into the ledger.
 type segMeta struct {
 	// note labels the commit ("origin", "segment").
 	note string
@@ -40,32 +35,6 @@ type segMeta struct {
 	// events is the campaign event log at commit time; the sink
 	// digests it.
 	events *mpi.EventLog
-}
-
-// ckptSink is the storage substrate of one campaign.
-type ckptSink interface {
-	// sweep removes orphaned temp files left by a crashed writer and
-	// returns their names.
-	sweep() ([]string, error)
-	// newest restores the newest checkpoint that reads back valid,
-	// skipping corrupt ones (returned in skipped), exactly like
-	// loadNewest. (nil, skipped, nil) means a fresh campaign.
-	newest(spec grid.Spec) (sv *mhd.Solver, skipped []string, err error)
-	// write durably commits a checkpoint of sv.
-	write(sv *mhd.Solver, meta segMeta) error
-	// segment loads the checkpoint committed at exactly the given
-	// step, in layout-neutral form (the rank-replacement reload path).
-	segment(step int) (*snapshot.Interior, error)
-	// prune retires all but the newest keep checkpoints.
-	prune(keep int) error
-	// postmortem durably saves the failure account and returns a
-	// human-readable location ("" if even that failed).
-	postmortem(text string) string
-	// artifacts durably saves auxiliary run artifacts (segment pprof
-	// profiles, traces, run reports): loose files beside the
-	// checkpoints for the directory sink, blobs pinned by one ledger
-	// manifest for the store sink. An empty list is a no-op.
-	artifacts(step int, note string, arts []runArtifact) error
 }
 
 // runArtifact is one auxiliary blob a campaign commits beside its
@@ -96,7 +65,7 @@ func CommitArtifacts(st *store.Store, runID string, step int, note string, arts 
 		return fmt.Errorf("resilience: CommitArtifacts needs a store")
 	}
 	if runID == "" {
-		runID = "campaign"
+		runID = defaultRunID
 	}
 	s := &storeSink{st: st, run: runID}
 	ra := make([]runArtifact, 0, len(arts))
@@ -106,95 +75,28 @@ func CommitArtifacts(st *store.Store, runID string, step int, note string, arts 
 	return s.artifacts(step, note, ra)
 }
 
-// sink builds the campaign's storage substrate from its config.
-func (c Config) sink() ckptSink {
-	if c.Store != nil {
-		run := c.RunID
-		if run == "" {
-			run = "campaign"
+// sink opens the campaign's ledger: Config.Store when set, otherwise a
+// filesystem store rooted at Config.Dir.
+func (c Config) sink() (*storeSink, error) {
+	st := c.Store
+	if st == nil {
+		if err := checkLegacyDir(c.Dir); err != nil {
+			return nil, err
 		}
-		return &storeSink{st: c.Store, run: run}
-	}
-	return &dirSink{dir: c.Dir}
-}
-
-// dirSink is the loose-files substrate: checkpoints under
-// Config.Dir/ckpt-*.yyck, postmortem.txt beside them.
-type dirSink struct {
-	dir string
-}
-
-func (d *dirSink) sweep() ([]string, error) {
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return nil, err
-	}
-	var swept []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.Contains(e.Name(), ".tmp-") {
-			continue
+		b, err := store.NewDirBackend(c.Dir)
+		if err != nil {
+			return nil, err
 		}
-		if err := os.Remove(filepath.Join(d.dir, e.Name())); err != nil {
-			return nil, fmt.Errorf("resilience: sweeping orphan temp %s: %w", e.Name(), err)
-		}
-		swept = append(swept, e.Name())
-	}
-	return swept, nil
-}
-
-func (d *dirSink) newest(spec grid.Spec) (*mhd.Solver, []string, error) {
-	return loadNewest(d.dir, spec)
-}
-
-func (d *dirSink) write(sv *mhd.Solver, _ segMeta) error {
-	_, err := writeCheckpointFile(d.dir, sv)
-	if errors.Is(err, syscall.ENOSPC) {
-		// Surface a full disk as the typed error so callers (and the
-		// campaign's own abort path) can tell it apart from transient
-		// faults that deserve the retry ladder.
-		return &store.DiskFullError{Path: d.dir, Err: err}
-	}
-	return err
-}
-
-func (d *dirSink) segment(step int) (*snapshot.Interior, error) {
-	path := filepath.Join(d.dir, ckptName(step))
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	in, err := snapshot.ReadInterior(f)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
-	}
-	return in, nil
-}
-
-func (d *dirSink) prune(keep int) error {
-	return prune(d.dir, keep)
-}
-
-func (d *dirSink) postmortem(text string) string {
-	path := filepath.Join(d.dir, postmortemName)
-	if err := store.WriteFileAtomic(path, []byte(text), 0o644); err != nil {
-		return ""
-	}
-	return path
-}
-
-func (d *dirSink) artifacts(_ int, _ string, arts []runArtifact) error {
-	for _, a := range arts {
-		if err := store.WriteFileAtomic(filepath.Join(d.dir, a.name), a.data, 0o644); err != nil {
-			return fmt.Errorf("resilience: writing artifact %s: %w", a.name, err)
+		if st, err = store.Open(b); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return &storeSink{st: st, run: c.RunID}, nil
 }
 
-// storeSink is the content-addressed substrate: checkpoint blobs in
-// the store, mutable refs runs/<run>/ckpt-%09d pointing at them, and
-// one Merkle-chained ledger entry per commit.
+// storeSink is the campaign's view of its store: checkpoint blobs,
+// mutable refs runs/<run>/ckpt-%09d pointing at them, and one
+// Merkle-chained ledger entry per commit.
 type storeSink struct {
 	st  *store.Store
 	run string
@@ -220,6 +122,8 @@ func (s *storeSink) refStep(name string) (int, bool) {
 	return step, true
 }
 
+// sweep removes orphaned temp files left by a crashed writer and
+// returns their names.
 func (s *storeSink) sweep() ([]string, error) {
 	return s.st.Sweep()
 }
@@ -240,17 +144,20 @@ func (s *storeSink) ckptSteps() ([]int, error) {
 	return steps, nil
 }
 
+// newest restores the newest checkpoint that reads back valid. A
+// corrupt, missing or undecodable checkpoint is skipped (the store's
+// typed errors land in skipped) and the scan falls back to the
+// next-newest — a bit-rotted newest checkpoint must not strand a
+// resumable campaign. A checkpoint that reads back fine but holds a
+// different grid is a hard error, not a skip: silently resuming an
+// older same-resolution checkpoint would fork the trajectory.
+// (nil, skipped, nil) means a fresh campaign.
 func (s *storeSink) newest(spec grid.Spec) (*mhd.Solver, []string, error) {
 	steps, err := s.ckptSteps()
 	if err != nil {
 		return nil, nil, err
 	}
 	var skipped []string
-	// The same fallback ladder as loadNewest: a corrupt, missing or
-	// undecodable newest checkpoint is skipped (the store's typed
-	// errors land in skipped) and the scan falls back to the
-	// next-newest; only a readable checkpoint with the wrong grid is a
-	// hard error.
 	for i := len(steps) - 1; i >= 0; i-- {
 		name := s.refName(steps[i])
 		sv, err := s.readCkpt(steps[i])
@@ -259,7 +166,7 @@ func (s *storeSink) newest(spec grid.Spec) (*mhd.Solver, []string, error) {
 			continue
 		}
 		if sv.Spec != spec {
-			return nil, skipped, fmt.Errorf("resilience: checkpoint %s holds grid %dx%dx%d, campaign wants %dx%dx%d — wrong run id or reconfigured resolution",
+			return nil, skipped, fmt.Errorf("resilience: checkpoint %s holds grid %dx%dx%d, campaign wants %dx%dx%d — wrong run id, wrong directory or reconfigured resolution",
 				name, sv.Spec.Nr, sv.Spec.Nt, sv.Spec.Np, spec.Nr, spec.Nt, spec.Np)
 		}
 		return sv, skipped, nil
@@ -279,6 +186,7 @@ func (s *storeSink) readCkpt(step int) (*mhd.Solver, error) {
 	return snapshot.ReadCheckpoint(bytes.NewReader(data))
 }
 
+// write durably commits a checkpoint of sv and its ledger manifest.
 func (s *storeSink) write(sv *mhd.Solver, meta segMeta) error {
 	var buf bytes.Buffer
 	if err := snapshot.WriteCheckpoint(&buf, sv); err != nil {
@@ -312,6 +220,8 @@ func (s *storeSink) write(sv *mhd.Solver, meta segMeta) error {
 	return nil
 }
 
+// segment loads the checkpoint committed at exactly the given step, in
+// layout-neutral form (the rank-replacement reload path).
 func (s *storeSink) segment(step int) (*snapshot.Interior, error) {
 	h, err := s.st.Ref(s.refName(step))
 	if err != nil {
@@ -332,8 +242,8 @@ func (s *storeSink) segment(step int) (*snapshot.Interior, error) {
 }
 
 // prune deletes all but the newest keep checkpoint *refs*. The blobs
-// stay — possibly shared with other runs — until a gc sweep finds them
-// unreachable from every ref and ledger entry.
+// stay: each is pinned by the ledger entry that committed it (and may
+// be shared with other runs), so gc keeps it while the ledger does.
 func (s *storeSink) prune(keep int) error {
 	steps, err := s.ckptSteps()
 	if err != nil {
@@ -348,6 +258,9 @@ func (s *storeSink) prune(keep int) error {
 	return nil
 }
 
+// postmortem durably saves the failure account under
+// runs/<run>/postmortem and returns its location ("" if even that
+// failed).
 func (s *storeSink) postmortem(text string) string {
 	h, err := s.st.Put([]byte(text))
 	if err != nil {

@@ -15,7 +15,14 @@ import (
 
 func testStore(t *testing.T) (*store.Store, *store.DirBackend) {
 	t.Helper()
-	b, err := store.NewDirBackend(filepath.Join(t.TempDir(), "store"))
+	return openStore(t, filepath.Join(t.TempDir(), "store"))
+}
+
+// openStore opens the filesystem store at root — for a Dir-configured
+// campaign, the campaign directory itself.
+func openStore(t *testing.T, root string) (*store.Store, *store.DirBackend) {
+	t.Helper()
+	b, err := store.NewDirBackend(root)
 	if err != nil {
 		t.Fatalf("NewDirBackend: %v", err)
 	}
@@ -36,6 +43,51 @@ func storeConfig(t *testing.T, steps, every int) (Config, *store.Store, *store.D
 	return cfg, st, b
 }
 
+// ckptSteps lists the checkpoint refs a Dir-configured campaign left
+// in its directory, ascending.
+func ckptSteps(t *testing.T, dir string) []int {
+	t.Helper()
+	st, _ := openStore(t, dir)
+	steps, err := (&storeSink{st: st, run: defaultRunID}).ckptSteps()
+	if err != nil {
+		t.Fatalf("listing checkpoint refs: %v", err)
+	}
+	return steps
+}
+
+// postmortemIn reads the post-mortem a Dir-configured campaign pinned
+// into its directory's ledger.
+func postmortemIn(t *testing.T, dir string) string {
+	t.Helper()
+	st, _ := openStore(t, dir)
+	h, err := st.Ref("runs/" + defaultRunID + "/postmortem")
+	if err != nil {
+		t.Fatalf("post-mortem not written: %v", err)
+	}
+	pm, err := st.Get(h)
+	if err != nil {
+		t.Fatalf("reading post-mortem: %v", err)
+	}
+	return string(pm)
+}
+
+// damageCkpt replaces the stored bytes of the checkpoint a
+// Dir-configured campaign committed at step with mangle's output, the
+// way bit rot or a torn disk would.
+func damageCkpt(t *testing.T, dir string, step int, mangle func([]byte) []byte) {
+	t.Helper()
+	st, b := openStore(t, dir)
+	h, err := st.Ref((&storeSink{run: defaultRunID}).refName(step))
+	if err != nil {
+		t.Fatalf("checkpoint ref at step %d: %v", step, err)
+	}
+	data, err := st.Get(h)
+	if err != nil {
+		t.Fatalf("reading checkpoint at step %d: %v", step, err)
+	}
+	writeObject(t, b, h, mangle(append([]byte{}, data...)))
+}
+
 func ckptBytes(t *testing.T, res *Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -45,8 +97,8 @@ func ckptBytes(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
-// TestCampaignThroughStore: a campaign over the content-addressed
-// store commits the same trajectory as the loose-file substrate —
+// TestCampaignThroughStore: a campaign over a caller-opened store
+// commits the same trajectory as one configured by directory —
 // byte-identical final state — and leaves a clean, Merkle-chained
 // ledger behind: one entry per commit, recovery decisions recorded,
 // refs pruned to Keep.
@@ -67,7 +119,7 @@ func TestCampaignThroughStore(t *testing.T) {
 		t.Fatalf("FinalStep=%d Retries=%d", res.FinalStep, res.Retries)
 	}
 	if !bytes.Equal(ckptBytes(t, res), ckptBytes(t, want)) {
-		t.Fatal("store-substrate campaign final state differs from dir-substrate golden")
+		t.Fatal("Store-configured campaign final state differs from the Dir-configured golden")
 	}
 
 	// Ledger: origin + 3 segment commits, chained.
@@ -183,8 +235,8 @@ func TestCampaignENOSPCTypedError(t *testing.T) {
 }
 
 // TestCampaignStoreCorruptNewestFallsBack: resuming through the store
-// with a bit-rotted newest checkpoint falls back to the next-newest,
-// exactly like the loose-file ladder.
+// with a bit-rotted newest checkpoint, quarantined by scrub, falls back
+// to the next-newest.
 func TestCampaignStoreCorruptNewestFallsBack(t *testing.T) {
 	cfg, st, b := storeConfig(t, 4, 2)
 	cfg.Keep = 3
@@ -229,21 +281,31 @@ func corruptStoredObject(t *testing.T, b *store.DirBackend, h store.Hash, origin
 	t.Helper()
 	damaged := append([]byte{}, original...)
 	damaged[len(damaged)/3] ^= 0x10
+	writeObject(t, b, h, damaged)
+}
+
+// writeObject overwrites the bytes stored under h behind the store's
+// back.
+func writeObject(t *testing.T, b *store.DirBackend, h store.Hash, data []byte) {
+	t.Helper()
 	hx := h.String()
 	path := filepath.Join(b.Root(), "objects", hx[:2], hx)
-	if err := store.WriteFileAtomic(path, damaged, 0o644); err != nil {
+	if err := store.WriteFileAtomic(path, data, 0o644); err != nil {
 		t.Fatalf("corrupting object: %v", err)
 	}
 }
 
 // TestCampaignSweepsOrphanTemps is the orphan-temp satellite: a crash
-// between a checkpoint's temp write and its rename leaves a *.tmp file
-// nothing would ever reclaim; the next campaign start sweeps it, in
-// both substrates.
+// between a checkpoint's temp write and its rename leaves a temp file
+// nothing would ever reclaim; the next campaign start sweeps it,
+// whether the campaign names a directory or an open store.
 func TestCampaignSweepsOrphanTemps(t *testing.T) {
 	t.Run("dir", func(t *testing.T) {
 		cfg := testConfig(t, 2, 2)
-		orphan := filepath.Join(cfg.Dir, ckptName(0)+".tmp-4242")
+		orphan := filepath.Join(cfg.Dir, "objects", "blob.tmp-4242")
+		if err := os.MkdirAll(filepath.Dir(orphan), 0o755); err != nil {
+			t.Fatal(err)
+		}
 		if err := store.WriteFileAtomic(orphan, []byte("half-written checkpoint"), 0o644); err != nil {
 			t.Fatalf("planting orphan: %v", err)
 		}

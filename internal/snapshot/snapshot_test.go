@@ -338,7 +338,7 @@ func TestReadErrorsNameOffset(t *testing.T) {
 // diagnosis.
 func TestReadCheckpointFileNamesPath(t *testing.T) {
 	raw := checkpointBytes(t)
-	path := filepath.Join(t.TempDir(), "ckpt-000000001.yyck")
+	path := filepath.Join(t.TempDir(), "ckpt-000000001.ckpt")
 	mut := append([]byte(nil), raw...)
 	mut[len(raw)/2] ^= 0x4
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
@@ -360,7 +360,7 @@ func TestReadCheckpointFileNamesPath(t *testing.T) {
 
 func pathWrite(t *testing.T, raw []byte) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "ckpt-000000001.yyck")
+	path := filepath.Join(t.TempDir(), "ckpt-000000001.ckpt")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -161,11 +161,13 @@ func (b *DirBackend) Put(name string, data []byte) error {
 		os.Remove(tmpName)
 		return wrapENOSPC(tmpName, err)
 	}
+	noteSync("write", tmpName)
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return wrapENOSPC(tmpName, err)
 	}
+	noteSync("sync-file", tmpName)
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
 		return wrapENOSPC(tmpName, err)
@@ -181,6 +183,7 @@ func (b *DirBackend) Put(name string, data []byte) error {
 		os.Remove(tmpName)
 		return wrapENOSPC(path, err)
 	}
+	noteSync("rename", path)
 
 	if f != nil && f.Kind == FaultCrashAfterRename {
 		// Death after the commit point but before the directory sync:
@@ -191,12 +194,24 @@ func (b *DirBackend) Put(name string, data []byte) error {
 	if err := syncDir(dir); err != nil {
 		return err
 	}
+	noteSync("sync-dir", dir)
 
 	if f != nil && f.Kind == FaultBitFlip {
 		// Silent bit rot: the Put succeeds, the media lies later.
 		flipBit(path, f.Byte)
 	}
 	return nil
+}
+
+// putSyncHook, when non-nil, observes the durability sequence of
+// DirBackend.Put — ("write", tmp), ("sync-file", tmp), ("rename",
+// final), ("sync-dir", dir) in order. Test seam only.
+var putSyncHook func(op, path string)
+
+func noteSync(op, path string) {
+	if putSyncHook != nil {
+		putSyncHook(op, path)
+	}
 }
 
 // flipBit XORs one bit of the committed file in place — the injected

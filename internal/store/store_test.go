@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 )
@@ -297,6 +298,51 @@ func TestWriteFileAtomic(t *testing.T) {
 	ents, _ := os.ReadDir(dir)
 	if len(ents) != 1 {
 		t.Fatalf("dir holds %d entries after atomic writes, want 1 (no temps)", len(ents))
+	}
+}
+
+// TestDirBackendPutDurabilitySequence asserts the temp write → fsync
+// file → rename → fsync dir order of the atomic commit: the payload is
+// written to a temp file and fsynced before the rename, and the
+// directory is fsynced after it — the sequence that keeps a host crash
+// from leaving a zero-length or unlinked "newest" checkpoint.
+func TestDirBackendPutDurabilitySequence(t *testing.T) {
+	_, b := newTestStore(t)
+	var ops, paths []string
+	putSyncHook = func(op, path string) {
+		ops = append(ops, op)
+		paths = append(paths, path)
+	}
+	defer func() { putSyncHook = nil }()
+
+	const name = "runs/test/ckpt-000000002"
+	if err := b.Put(name, []byte("checkpoint payload")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+
+	want := []string{"write", "sync-file", "rename", "sync-dir"}
+	if fmt.Sprint(ops) != fmt.Sprint(want) {
+		t.Fatalf("durability sequence %v, want %v", ops, want)
+	}
+	final := filepath.Join(b.Root(), filepath.FromSlash(name))
+	// The write and the file fsync target the temp file (pre-rename),
+	// the directory fsync the blob's directory.
+	for i := 0; i < 2; i++ {
+		if !strings.Contains(paths[i], tmpMarker) || filepath.Dir(paths[i]) != filepath.Dir(final) {
+			t.Errorf("%s hit %q, want a temp file beside %q", ops[i], paths[i], final)
+		}
+	}
+	if paths[0] != paths[1] {
+		t.Errorf("fsynced %q, but wrote %q", paths[1], paths[0])
+	}
+	if paths[2] != final {
+		t.Errorf("rename produced %q, want %q", paths[2], final)
+	}
+	if paths[3] != filepath.Dir(final) {
+		t.Errorf("sync-dir hit %q, want %q", paths[3], filepath.Dir(final))
+	}
+	if got, err := os.ReadFile(final); err != nil || string(got) != "checkpoint payload" {
+		t.Fatalf("committed blob = %q, %v", got, err)
 	}
 }
 

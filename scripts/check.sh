@@ -44,11 +44,12 @@
 #                      by yywatch while it runs: the Prometheus
 #                      exposition must parse and the injected fault
 #                      must surface as a latched rank-dead alert
-#   9. store smoke   — a store-backed campaign (yycore -store) audited
-#                      offline with yystore verify and gc: the ledger
-#                      chain, Merkle roots and anchor must come back
-#                      clean, and GC must keep every ledger-reachable
-#                      object
+#   9. store smoke   — a campaign (yycore -campaign, which always
+#                      commits to the run-ledger store in its directory)
+#                      audited offline with yystore verify and gc: the
+#                      ledger chain, Merkle roots and anchor must come
+#                      back clean, and GC must keep every
+#                      ledger-reachable object
 #  10. step gate     — the fused-RHS speedup gate: the committed
 #                      BENCH_kernels.json step section must claim
 #                      >=2x over the pre-fusion baseline, and a live
@@ -57,6 +58,11 @@
 #                      write (the steady-state shape of deterministic
 #                      reruns) must stay allocation-free against the
 #                      committed BENCH_store.json
+#  12. halo gate     — the halo exchange's allocs/op must not regress
+#                      above the committed BENCH_halo.json baseline
+#  13. obs gate      — the flight recorder's allocs/op (strict) and
+#                      ns/op (10x slack) must not regress above the
+#                      committed BENCH_obs.json baseline
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -129,8 +135,8 @@ kill "$tele_pid" 2>/dev/null || true
 wait "$tele_pid" 2>/dev/null || true
 
 store_dir="${STORE_OUT:-$(mktemp -d)}/run.store"
-echo "==> store smoke: go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -ckpt-every 2 -store $store_dir"
-go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -ckpt-every 2 -store "$store_dir"
+echo "==> store smoke: go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -ckpt-every 2 -campaign $store_dir"
+go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -ckpt-every 2 -campaign "$store_dir"
 go run ./cmd/yystore -root "$store_dir" verify
 go run ./cmd/yystore -root "$store_dir" gc
 # Post-GC verify: the sweep must not have collected anything the
@@ -143,5 +149,11 @@ go run ./cmd/yybench -gate-step BENCH_kernels.json
 
 echo "==> store gate: go run ./cmd/yybench -gate-store BENCH_store.json"
 go run ./cmd/yybench -gate-store BENCH_store.json
+
+echo "==> halo gate: go run ./cmd/yybench -gate BENCH_halo.json"
+go run ./cmd/yybench -gate BENCH_halo.json
+
+echo "==> obs gate: go run ./cmd/yybench -gate-obs BENCH_obs.json"
+go run ./cmd/yybench -gate-obs BENCH_obs.json
 
 echo "==> all checks passed"
