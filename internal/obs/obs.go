@@ -67,6 +67,10 @@ const (
 	// after the exchange completes.
 	SpanRHSInterior
 	SpanRHSRim
+	// SpanProfileJoin is the campaign driver waiting for a segment's
+	// CPU profile to finish draining: the part of the profiler's stop
+	// the commit did not hide.
+	SpanProfileJoin
 	numSpanKinds
 )
 
@@ -90,6 +94,7 @@ var spanNames = [numSpanKinds]string{
 	SpanHaloOverlap:   "halo.overlap",
 	SpanRHSInterior:   "rhs.interior",
 	SpanRHSRim:        "rhs.rim",
+	SpanProfileJoin:   "profile.join",
 }
 
 // String returns the span's trace name, e.g. "halo.wait".
@@ -113,14 +118,15 @@ const (
 	// scatter/gather and checkpoint I/O.
 	ClassComm
 	// ClassWait is time blocked on a peer: halo and overset receive
-	// waits and the collectives (which are rendezvous-dominated).
+	// waits and the collectives (which are rendezvous-dominated) — and,
+	// on the driver track, on the CPU profiler's drain.
 	ClassWait
 )
 
 // ClassOf reports the report class of a span kind.
 func ClassOf(k SpanKind) Class {
 	switch k {
-	case SpanHaloWait, SpanOversetWait, SpanCollective:
+	case SpanHaloWait, SpanOversetWait, SpanCollective, SpanProfileJoin:
 		return ClassWait
 	case SpanHaloPack, SpanHaloUnpack, SpanRim, SpanOversetDonate,
 		SpanOversetRecv, SpanScatter, SpanGather, SpanCkptWrite, SpanCkptRead:

@@ -329,6 +329,7 @@ func (rep *Report) Format() string {
 		fmt.Fprintf(&b, "%-28s: %14.6f\n", "Real Time (sec)", float64(rep.Driver.WallNS)/nsPerSec)
 		fmt.Fprintf(&b, "%-28s: %14.6f\n", "Checkpoint Write (sec)", float64(rep.Driver.ByKind[SpanCkptWrite])/nsPerSec)
 		fmt.Fprintf(&b, "%-28s: %14.6f\n", "Checkpoint Read (sec)", float64(rep.Driver.ByKind[SpanCkptRead])/nsPerSec)
+		fmt.Fprintf(&b, "%-28s: %14.6f\n", "Profile Join (sec)", float64(rep.Driver.ByKind[SpanProfileJoin])/nsPerSec)
 	}
 	return b.String()
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/perfcount"
 )
@@ -129,6 +130,9 @@ func TestBuildReportDriverTrack(t *testing.T) {
 	d.Open()
 	sp := d.Begin(SpanCkptWrite)
 	sp.End()
+	pj := d.Begin(SpanProfileJoin)
+	time.Sleep(time.Millisecond)
+	pj.End()
 	d.Close()
 	rr := r.RankFor(0)
 	rr.Open()
@@ -142,5 +146,12 @@ func TestBuildReportDriverTrack(t *testing.T) {
 	}
 	if !strings.Contains(rep.Format(), "Driver Track") {
 		t.Fatal("report missing driver section")
+	}
+	// The profile join is driver wait time, reported on its own line.
+	if j := rep.Driver.ByKind[SpanProfileJoin]; j <= 0 || rep.Driver.WaitNS != j {
+		t.Fatalf("profile join %d ns, driver wait %d ns; want equal and positive", j, rep.Driver.WaitNS)
+	}
+	if !strings.Contains(rep.Format(), "Profile Join (sec)") {
+		t.Fatal("report missing the profile join line")
 	}
 }

@@ -138,6 +138,12 @@ type Config struct {
 	// at the boundary) is durably saved next to the checkpoint. The
 	// plane reads shared memory only; a telemetrized campaign's
 	// committed trajectory is sha256-identical to a dark one.
+	// Profiling has a floor cost: finalizing a segment's CPU profile
+	// takes at least 100-200 ms of wall time whatever the segment's
+	// length. The driver overlaps that drain with the segment's
+	// validation and commit and records what stays exposed as a
+	// profile.join span on its track; campaigns with short segments
+	// should set telemetry.Config.NoProfile.
 	Telemetry *telemetry.Plane
 }
 
@@ -289,6 +295,21 @@ func RunCampaign(cfg Config) (*Result, error) {
 	drv := cfg.Obs.Driver()
 	drv.Open()
 	defer drv.Close()
+	// prof is the current attempt's CPU profile. joinProfile waits out
+	// its drain on the driver track and returns the bytes; the deferred
+	// join frees the process-wide profiler on every return path.
+	var prof *telemetry.SegProfiler
+	joinProfile := func() []byte {
+		if prof == nil {
+			return nil
+		}
+		sp := drv.Begin(obs.SpanProfileJoin)
+		defer sp.End()
+		data := prof.Stop()
+		prof = nil
+		return data
+	}
+	defer joinProfile()
 
 	res := &Result{}
 	// Recovery decisions are appended from two places: the campaign
@@ -469,7 +490,6 @@ func RunCampaign(cfg Config) (*Result, error) {
 			// profile. Profiling is signal-driven and process-global — it
 			// perturbs scheduling, never arithmetic — so the committed
 			// trajectory is unchanged.
-			var prof *telemetry.SegProfiler
 			if plane.ProfileSegments() {
 				prof = telemetry.StartSegProfile()
 			}
@@ -483,7 +503,11 @@ func RunCampaign(cfg Config) (*Result, error) {
 			} else {
 				next, diag, err = runSegment(cfg.Core, layout, rc, plane, state, dt, n, reload)
 			}
-			cpuProfile := prof.Stop()
+			// Sampling ends with the segment; the profiler's drain
+			// (100-200 ms whatever the segment's length) overlaps the
+			// validation and commit below, and joinProfile waits out
+			// the rest before the profile commit or a retry.
+			prof.StopSampling()
 			if err == nil {
 				err = validate(next, cfg)
 			}
@@ -512,14 +536,15 @@ func RunCampaign(cfg Config) (*Result, error) {
 				// checkpoint. Best-effort: a campaign never fails over a
 				// lost profile.
 				if plane.ProfileSegments() {
+					heap := telemetry.HeapProfile()
 					var arts []runArtifact
-					if len(cpuProfile) > 0 {
+					if cpuProfile := joinProfile(); len(cpuProfile) > 0 {
 						arts = append(arts, runArtifact{
 							name: fmt.Sprintf("profile-cpu-%09d.pb.gz", state.Step),
 							role: "profile.cpu", data: cpuProfile,
 						})
 					}
-					if heap := telemetry.HeapProfile(); len(heap) > 0 {
+					if len(heap) > 0 {
 						arts = append(arts, runArtifact{
 							name: fmt.Sprintf("profile-heap-%09d.pb.gz", state.Step),
 							role: "profile.heap", data: heap,
@@ -532,6 +557,7 @@ func RunCampaign(cfg Config) (*Result, error) {
 				committed = true
 				break
 			}
+			joinProfile()
 			if errors.Is(err, ErrBlowUp) {
 				blowUps++
 			}

@@ -129,8 +129,10 @@ func (s *storeSink) sweep() ([]string, error) {
 }
 
 // ckptSteps lists the run's checkpoint steps ascending, from its refs.
+// Only the ckpt- refs are read: the run's profile refs accumulate with
+// every committed segment and are never pruned.
 func (s *storeSink) ckptSteps() ([]int, error) {
-	refs, err := s.st.Refs("runs/" + s.run + "/")
+	refs, err := s.st.Refs("runs/" + s.run + "/ckpt-")
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/mhd"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -109,11 +111,9 @@ func TestCampaignCommitsProfiles(t *testing.T) {
 			}
 		}
 	}
-	// 2 segments committed: cpu + heap per segment (the CPU profiler
-	// can be busy under parallel tests, so cpu may fall short of 2,
-	// but heap snapshots are unconditional).
-	if roles["profile.heap"] != 2 {
-		t.Fatalf("roles = %v, want 2 profile.heap", roles)
+	// 2 segments committed: one cpu and one heap profile each.
+	if roles["profile.cpu"] != 2 || roles["profile.heap"] != 2 {
+		t.Fatalf("roles = %v, want 2 profile.cpu and 2 profile.heap", roles)
 	}
 	if roles["checkpoint"] != 3 {
 		t.Fatalf("roles = %v, want 3 checkpoints (origin + 2 segments)", roles)
@@ -140,6 +140,79 @@ func TestCampaignCommitsProfiles(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCampaignReleasesProfiler: the segment profile's drain overlaps
+// the commit, but RunCampaign joins it on every way out — a clean run,
+// a blow-up retried to a commit, and an abort on a failed checkpoint
+// write — so the process-wide CPU profiler is free when it returns.
+func TestCampaignReleasesProfiler(t *testing.T) {
+	requireFree := func(t *testing.T) {
+		t.Helper()
+		if len(telemetry.StartSegProfile().Stop()) == 0 {
+			t.Fatal("CPU profiler still held after RunCampaign returned")
+		}
+	}
+	t.Run("clean", func(t *testing.T) {
+		cfg, _, _ := storeConfig(t, 4, 2)
+		cfg.Telemetry = telemetry.New(telemetry.Config{})
+		if _, err := RunCampaign(cfg); err != nil {
+			t.Fatal(err)
+		}
+		requireFree(t)
+	})
+	t.Run("retry", func(t *testing.T) {
+		cfg, st, _ := storeConfig(t, 4, 2)
+		cfg.Telemetry = telemetry.New(telemetry.Config{})
+		cfg.Perturb = func(seg, attempt int, sv *mhd.Solver) {
+			if seg == 0 && attempt == 0 {
+				data := sv.Panels[0].U.Rho.Data
+				data[len(data)/2] = math.NaN()
+			}
+		}
+		res, err := RunCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Retries != 1 {
+			t.Fatalf("%d retries, want the perturbed first attempt retried once", res.Retries)
+		}
+		// The failed attempt's profile was joined before the retry
+		// started its own, so both committed segments carry one.
+		entries, err := st.Entries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu := 0
+		for _, m := range entries {
+			for _, a := range m.Artifacts {
+				if a.Role == "profile.cpu" {
+					cpu++
+				}
+			}
+		}
+		if cpu != 2 {
+			t.Fatalf("%d profile.cpu artifacts, want 2", cpu)
+		}
+		requireFree(t)
+	})
+	t.Run("abort", func(t *testing.T) {
+		cfg, _, b := storeConfig(t, 2, 2)
+		cfg.Telemetry = telemetry.New(telemetry.Config{})
+		if _, err := RunCampaign(cfg); err != nil {
+			t.Fatal(err)
+		}
+		// Resume into a full disk: the profiled segment runs, then its
+		// checkpoint write fails and the campaign aborts.
+		cfg.Steps = 4
+		b.SetFaults(store.NewFaultPlan([]store.Fault{{Op: -1, Kind: store.FaultENOSPC}}))
+		_, err := RunCampaign(cfg)
+		var full *store.DiskFullError
+		if !errors.As(err, &full) {
+			t.Fatalf("campaign error = %v, want *store.DiskFullError", err)
+		}
+		requireFree(t)
+	})
 }
 
 // TestCampaignNoProfileSwitch: Config.NoProfile turns the segment

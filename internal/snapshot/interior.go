@@ -102,10 +102,11 @@ func ReadInterior(r io.Reader) (*Interior, error) {
 		Step: int(h.Step),
 	}
 	slabLen := in.Spec.Nr * in.Spec.Nt * in.Spec.Np
+	buf := make([]byte, 8*chunkFloats)
 	for pi := range in.Fields {
 		for si := range in.Fields[pi] {
 			slab := make([]float64, slabLen)
-			if err := readFloats(br, slab); err != nil {
+			if err := readFloats(br, slab, buf); err != nil {
 				return nil, fmt.Errorf("snapshot: reading field (panel %d, scalar %d) at byte offset %d: %w",
 					pi, si, cr.n, err)
 			}

@@ -68,12 +68,16 @@ func WriteCheckpoint(w io.Writer, sv *mhd.Solver) error {
 	if err := binary.Write(bw, binary.LittleEndian, &h); err != nil {
 		return err
 	}
+	// One encode buffer serves every row: the payload is written one
+	// short radial row at a time, so a per-row buffer would make a
+	// checkpoint's garbage grow with the grid.
+	buf := make([]byte, 8*chunkFloats)
 	for _, pl := range sv.Panels {
 		for _, s := range pl.U.Scalars() {
 			var werr error
 			s.EachInteriorRow(func(i0 int, row []float64) {
 				if werr == nil {
-					werr = writeFloats(bw, row)
+					werr = writeFloats(bw, row, buf)
 				}
 			})
 			if werr != nil {
@@ -185,15 +189,16 @@ func ReadCheckpointFile(path string) (*mhd.Solver, error) {
 	return sv, nil
 }
 
-func writeFloats(w io.Writer, data []float64) error {
-	buf := make([]byte, 8*4096)
+// chunkFloats is how many float64 values one codec buffer holds.
+const chunkFloats = 4096
+
+// writeFloats encodes data little-endian through buf (8*chunkFloats
+// bytes, reused across calls).
+func writeFloats(w io.Writer, data []float64, buf []byte) error {
 	for len(data) > 0 {
-		n := len(data)
-		if n > 4096 {
-			n = 4096
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(data[i]))
+		n := min(len(data), chunkFloats)
+		for i, v := range data[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
 		}
 		if _, err := w.Write(buf[:8*n]); err != nil {
 			return err
@@ -203,17 +208,16 @@ func writeFloats(w io.Writer, data []float64) error {
 	return nil
 }
 
-func readFloats(r io.Reader, data []float64) error {
-	buf := make([]byte, 8*4096)
+// readFloats decodes len(data) little-endian values through buf
+// (8*chunkFloats bytes, reused across calls), requesting exact byte
+// counts from r.
+func readFloats(r io.Reader, data []float64, buf []byte) error {
 	for len(data) > 0 {
-		n := len(data)
-		if n > 4096 {
-			n = 4096
-		}
+		n := min(len(data), chunkFloats)
 		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
 			return err
 		}
-		for i := 0; i < n; i++ {
+		for i := range data[:n] {
 			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 		}
 		data = data[n:]

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -365,4 +366,44 @@ func pathWrite(t *testing.T, raw []byte) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestCodecAllocsConstant: encoding and decoding a checkpoint costs the
+// same small number of allocations at every grid size — the codec
+// reuses one buffer per call instead of allocating per radial row.
+func TestCodecAllocsConstant(t *testing.T) {
+	const maxAllocs = 32
+	var writes, reads [2]float64
+	for i, n := range []int{9, 17} {
+		sv, err := mhd.NewSolver(grid.NewSpec(n, n), mhd.Default(), mhd.DefaultIC())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, sv); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		writes[i] = testing.AllocsPerRun(5, func() {
+			if err := WriteCheckpoint(io.Discard, sv); err != nil {
+				t.Fatal(err)
+			}
+		})
+		rd := bytes.NewReader(nil)
+		reads[i] = testing.AllocsPerRun(5, func() {
+			rd.Reset(raw)
+			if _, err := ReadInterior(rd); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, c := range []struct {
+		what   string
+		counts [2]float64
+	}{{"WriteCheckpoint", writes}, {"ReadInterior", reads}} {
+		if c.counts[0] != c.counts[1] || c.counts[0] > maxAllocs {
+			t.Errorf("%s allocs: %v at 9x9, %v at 17x17; want equal and <= %d", c.what, c.counts[0], c.counts[1], maxAllocs)
+		}
+	}
+	t.Logf("allocs/op: WriteCheckpoint %v, ReadInterior %v", writes[0], reads[0])
 }

@@ -249,11 +249,27 @@ func (b *DirBackend) Get(name string) ([]byte, error) {
 	return os.ReadFile(filepath.Join(b.root, filepath.FromSlash(name)))
 }
 
+// List walks only the directory the prefix names up to its last
+// slash — every match lives below it — so listing one run's refs does
+// not cost a walk of every object in the store.
 func (b *DirBackend) List(prefix string) ([]string, error) {
+	dir := b.root
+	if i := strings.LastIndex(prefix, "/"); i >= 0 {
+		if err := checkName(prefix[:i]); err != nil {
+			return nil, err
+		}
+		dir = filepath.Join(b.root, filepath.FromSlash(prefix[:i]))
+	}
 	var out []string
-	err := filepath.WalkDir(b.root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			if path == dir && errors.Is(err, fs.ErrNotExist) {
+				return nil // nothing was ever stored under prefix
+			}
 			return err
+		}
+		if d.IsDir() {
+			return nil
 		}
 		rel, err := filepath.Rel(b.root, path)
 		if err != nil {

@@ -346,6 +346,50 @@ func TestDirBackendPutDurabilitySequence(t *testing.T) {
 	}
 }
 
+// TestDirBackendList: List walks only the prefix's directory but keeps
+// plain string-prefix semantics, hides in-flight temps, and treats a
+// prefix nothing was stored under as empty.
+func TestDirBackendList(t *testing.T) {
+	_, b := newTestStore(t)
+	for _, name := range []string{
+		"objects/ab/abc", "refs/runs/a/ckpt-000000002", "refs/runs/a/profile-cpu",
+		"refs/runs/ab/x", "refs/runs/b/ckpt-000000004",
+	} {
+		if err := b.Put(name, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An orphaned temp beside the refs must never be listed.
+	orphan := filepath.Join(b.Root(), "refs", "runs", "a", "ckpt-000000006"+tmpMarker+"42")
+	if err := os.WriteFile(orphan, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		prefix string
+		want   []string
+	}{
+		{"refs/runs/a/", []string{"refs/runs/a/ckpt-000000002", "refs/runs/a/profile-cpu"}},
+		{"refs/runs/a/ckpt-", []string{"refs/runs/a/ckpt-000000002"}},
+		{"refs/runs/a", []string{"refs/runs/a/ckpt-000000002", "refs/runs/a/profile-cpu", "refs/runs/ab/x"}},
+		{"refs/runs/missing/", nil},
+		{"nothing/here/", nil},
+		{"", []string{"objects/ab/abc", "refs/runs/a/ckpt-000000002", "refs/runs/a/profile-cpu",
+			"refs/runs/ab/x", "refs/runs/b/ckpt-000000004"}},
+	} {
+		got, err := b.List(c.prefix)
+		if err != nil {
+			t.Errorf("List(%q): %v", c.prefix, err)
+			continue
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("List(%q) = %v, want %v", c.prefix, got, c.want)
+		}
+	}
+	if _, err := b.List("../escape/"); err == nil {
+		t.Error("List accepted a prefix escaping the root")
+	}
+}
+
 func TestSweepTemps(t *testing.T) {
 	s, b := newTestStore(t)
 	// A torn write strands a temp; List must not see it, Sweep must

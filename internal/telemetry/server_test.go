@@ -204,3 +204,27 @@ func TestSegProfiler(t *testing.T) {
 		t.Fatal("heap profile empty")
 	}
 }
+
+// TestSegProfilerStopSampling: StopSampling hands the drain to the
+// background and Stop joins it — the bytes still arrive, repeat calls
+// and nil are safe, and the profiler is free for the next segment.
+func TestSegProfilerStopSampling(t *testing.T) {
+	var nilSP *SegProfiler
+	nilSP.StopSampling()
+	for i := 0; i < 2; i++ {
+		sp := StartSegProfile()
+		inner := StartSegProfile() // profiler busy: degraded, a no-op
+		inner.StopSampling()
+		if inner.Stop() != nil {
+			t.Fatalf("segment %d: degraded profiler returned data", i)
+		}
+		sp.StopSampling()
+		sp.StopSampling()
+		if data := sp.Stop(); len(data) == 0 {
+			t.Fatalf("segment %d: joined profiler returned no data", i)
+		}
+		if sp.Stop() != nil {
+			t.Fatalf("segment %d: second Stop returned data", i)
+		}
+	}
+}

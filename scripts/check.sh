@@ -16,7 +16,10 @@
 #                      directive audit (ignore-audit)
 #   4. go test       — the full test suite; the explicit -timeout turns
 #                      any residual runtime wedge into a stack-dumped
-#                      failure instead of a hung CI job
+#                      failure instead of a hung CI job. stepbench is
+#                      its own module, which ./... does not reach, so
+#                      its metric-code unit tests are vetted and run
+#                      separately
 #   5. go test -race — the goroutine MPI runtime and its users under
 #                      the race detector, plus the intra-rank worker
 #                      pool (internal/par), the chaos harness and the
@@ -81,6 +84,9 @@ go run ./cmd/yyvet -p "${YYVET_PROCS:-0}" ${YYVET_JSON:+-json "$YYVET_JSON"} ${Y
 
 echo "==> go test -timeout 120s ./..."
 go test -timeout 120s ./...
+
+echo "==> (cd stepbench && go vet . && go test .)"
+(cd stepbench && go vet . && go test .)
 
 echo "==> go test -race -timeout 240s ./internal/mpi ./internal/decomp ./internal/overset ./internal/resilience ./internal/par ./internal/chaos ./internal/obs ./internal/store ./internal/telemetry"
 go test -race -timeout 240s ./internal/mpi ./internal/decomp ./internal/overset ./internal/resilience ./internal/par ./internal/chaos ./internal/obs ./internal/store ./internal/telemetry
